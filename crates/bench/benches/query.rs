@@ -8,6 +8,10 @@
 //! query outputs; the headline is the wire-bytes ratio (no-pushdown /
 //! pushdown), which must exceed 3× — the paper's location-flexibility
 //! argument in miniature: moving the computation beats moving the data.
+//! Pushdown must also match the reader-side run's steps/s (best of
+//! several alternating passes each) while cutting bytes moved by >= 4x:
+//! the writer-side filter has to run at native speed for moving the
+//! computation to pay.
 //!
 //! Results land in `BENCH_query.json`. Run with
 //! `cargo bench --bench query`; set `QUERY_QUICK=1` for smoke runs.
@@ -111,16 +115,39 @@ fn main() {
     let quick = std::env::var("QUERY_QUICK").is_ok();
     let steps: u64 = if quick { 6 } else { 24 };
 
-    let with = run(true, steps);
-    let without = run(false, steps);
+    // Warm up first (thread pools, allocator arenas, page cache) so the
+    // timed runs compare like with like; otherwise whichever mode runs
+    // first pays every cold-start cost.
+    run(true, 2);
+    // Several passes, alternating which mode goes first; each mode keeps
+    // its fastest pass. A single quick pass lasts a few milliseconds per
+    // mode, short enough for host noise alone to decide the throughput gate.
+    let passes = if quick { 5 } else { 2 };
+    let (mut with, mut without) = (Vec::new(), Vec::new());
+    for pass in 0..passes {
+        if pass % 2 == 0 {
+            with.push(run(true, steps));
+            without.push(run(false, steps));
+        } else {
+            without.push(run(false, steps));
+            with.push(run(true, steps));
+        }
+    }
 
-    // Correctness gates first: pushdown must be result-invisible, and
-    // the counters must account for exactly the bytes that stayed home.
-    assert_eq!(with.digest, without.digest, "pushdown changed the query result");
-    assert_eq!(with.rows_in, steps * ELEMS as u64);
-    assert_eq!((without.bytes_pushed_down, without.bytes_saved), (0, 0));
-    assert_eq!(with.bytes_pushed_down, with.rows_in * 8, "all chunks conditioned writer-side");
-    assert_eq!(with.bytes_saved, (with.rows_in - with.rows_out) * 8);
+    // Correctness gates first, on every pass: pushdown must be
+    // result-invisible, and the counters must account for exactly the
+    // bytes that stayed home.
+    for (with, without) in with.iter().zip(&without) {
+        assert_eq!(with.digest, without.digest, "pushdown changed the query result");
+        assert_eq!(with.rows_in, steps * ELEMS as u64);
+        assert_eq!((without.bytes_pushed_down, without.bytes_saved), (0, 0));
+        assert_eq!(with.bytes_pushed_down, with.rows_in * 8, "all chunks conditioned writer-side");
+        assert_eq!(with.bytes_saved, (with.rows_in - with.rows_out) * 8);
+    }
+    let fastest = |runs: Vec<RunOut>| {
+        runs.into_iter().min_by(|a, b| a.elapsed_s.total_cmp(&b.elapsed_s)).expect("passes > 0")
+    };
+    let (with, without) = (fastest(with), fastest(without));
 
     let ratio = without.wire_bytes as f64 / with.wire_bytes as f64;
     let selectivity = with.rows_out as f64 / with.rows_in as f64;
@@ -138,8 +165,19 @@ fn main() {
         with.wire_bytes
     );
 
+    // With the plug-in compiled to native code, filtering writer-side must
+    // not cost throughput relative to shipping everything: pushdown wins
+    // on bytes *and* keeps up on steps/s (best pass against best pass).
+    let (pushed, shipped) = (steps as f64 / with.elapsed_s, steps as f64 / without.elapsed_s);
+    assert!(
+        ratio >= 4.0 && pushed >= shipped,
+        "pushdown must move >= 4x fewer bytes at no throughput cost: \
+         ratio {ratio:.2}x, pushdown {pushed:.1} steps/s vs reader-side {shipped:.1} steps/s"
+    );
+
     let mut rep = bench::report::Report::new("query")
         .u64("chunk_bytes", (ELEMS * 8) as u64)
+        .u64("passes", passes)
         .f64("selectivity", selectivity, 3)
         .f64("bytes_moved_ratio", ratio, 2);
     for (mode, r) in [("pushdown", &with), ("reader_side", &without)] {

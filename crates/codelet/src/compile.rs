@@ -129,9 +129,13 @@ impl From<ParseError> for CompileError {
 
 /// Compile source to a [`Program`].
 pub fn compile(source: &str) -> Result<Program, CompileError> {
-    let stmts = parse(source)?;
+    compile_ast(&parse(source)?)
+}
+
+/// Compile an already-parsed statement list to a [`Program`].
+pub fn compile_ast(stmts: &[Stmt]) -> Result<Program, CompileError> {
     let mut c = Compiler::default();
-    c.block(&stmts)?;
+    c.block(stmts)?;
     c.emit(Instr::Halt);
     Ok(Program {
         instructions: c.instructions,

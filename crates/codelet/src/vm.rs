@@ -59,7 +59,7 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Builtin table: order defines the compile-time indices.
-const BUILTINS: &[&str] = &[
+pub(crate) const BUILTINS: &[&str] = &[
     "array",      // 0: new float[]
     "int_array",  // 1: new int[]
     "len",        // 2
@@ -94,6 +94,17 @@ pub fn builtin_index(name: &str) -> Option<u16> {
 
 /// Execute a compiled program against `input`, producing the output record.
 pub fn execute(program: &Program, input: &Record, budget: u64) -> Result<Record, RunError> {
+    execute_counted(program, input, budget).0
+}
+
+/// [`execute`], also reporting how many instructions ran (the failing
+/// instruction included). A run that needs exactly `n` instructions
+/// succeeds with any budget `>= n` and is `BudgetExceeded` below it.
+pub fn execute_counted(
+    program: &Program,
+    input: &Record,
+    budget: u64,
+) -> (Result<Record, RunError>, u64) {
     let mut vm = Vm {
         stack: Vec::with_capacity(16),
         slots: vec![Value::Int(0); program.num_slots],
@@ -101,8 +112,8 @@ pub fn execute(program: &Program, input: &Record, budget: u64) -> Result<Record,
         input,
         remaining: budget,
     };
-    vm.run(program)?;
-    Ok(vm.output)
+    let result = vm.run(program).map(|()| vm.output);
+    (result, budget - vm.remaining)
 }
 
 struct Vm<'a> {
@@ -184,7 +195,7 @@ impl Vm<'_> {
                 Instr::Neg => {
                     let v = self.pop();
                     let out = match v {
-                        Value::Int(i) => Value::Int(-i),
+                        Value::Int(i) => Value::Int(i.wrapping_neg()),
                         Value::Float(f) => Value::Float(-f),
                         other => {
                             return Err(RunError::Type(format!(
@@ -370,7 +381,7 @@ impl Vm<'_> {
             "abs" => {
                 arity(1)?;
                 Ok(match &args[0] {
-                    Value::Int(i) => Value::Int(i.abs()),
+                    Value::Int(i) => Value::Int(i.wrapping_abs()),
                     other => Value::Float(need_f64(other)?.abs()),
                 })
             }
@@ -401,7 +412,9 @@ impl Vm<'_> {
                 arity(1)?;
                 Ok(match &args[0] {
                     Value::FloatArr(a) => Value::Float(a.borrow().iter().sum()),
-                    Value::IntArr(a) => Value::Int(a.borrow().iter().sum()),
+                    Value::IntArr(a) => {
+                        Value::Int(a.borrow().iter().fold(0, |s, &v| s.wrapping_add(v)))
+                    }
                     other => {
                         return Err(RunError::Type(format!(
                             "`sum` needs an array, got {}",
@@ -511,7 +524,7 @@ impl Vm<'_> {
     }
 }
 
-fn numeric_pair(lhs: &Value, rhs: &Value) -> Result<(f64, f64), RunError> {
+pub(crate) fn numeric_pair(lhs: &Value, rhs: &Value) -> Result<(f64, f64), RunError> {
     match (lhs.as_f64(), rhs.as_f64()) {
         (Some(a), Some(b)) => Ok((a, b)),
         _ => Err(RunError::Type(format!(
@@ -522,7 +535,7 @@ fn numeric_pair(lhs: &Value, rhs: &Value) -> Result<(f64, f64), RunError> {
     }
 }
 
-fn arith(op: Instr, lhs: &Value, rhs: &Value) -> Result<Value, RunError> {
+pub(crate) fn arith(op: Instr, lhs: &Value, rhs: &Value) -> Result<Value, RunError> {
     // Int op Int stays Int (with checked div/rem); any float widens.
     if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
         return Ok(Value::Int(match op {

@@ -467,6 +467,17 @@ pub struct Record {
     fields: Vec<(String, FieldValue)>,
 }
 
+/// Consume the record, yielding owned fields in insertion order (so large
+/// arrays can move out instead of being cloned).
+impl IntoIterator for Record {
+    type Item = (String, FieldValue);
+    type IntoIter = std::vec::IntoIter<(String, FieldValue)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.fields.into_iter()
+    }
+}
+
 impl Record {
     /// Empty record.
     pub fn new() -> Record {

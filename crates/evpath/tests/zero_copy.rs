@@ -9,7 +9,7 @@
 //! aliases the receive buffer rather than a private copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use evpath::{FieldValue, Record};
@@ -17,17 +17,31 @@ use evpath::{FieldValue, Record};
 /// Wraps the system allocator, counting allocations >= a size threshold
 /// while armed. The threshold is set to the payload size under test, so
 /// any hidden payload-sized `Vec` shows up as a nonzero count.
+///
+/// Arming, threshold and count are per thread: the test harness runs
+/// sibling tests on other threads of this process, and their allocations
+/// must not land in the armed thread's count.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count `size` if this thread is armed and it reaches the threshold.
+/// `try_with` because the allocator also runs during thread teardown.
+fn note(size: usize) {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() && size >= THRESHOLD.with(Cell::get) {
+            LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && layout.size() >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -36,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && new_size >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,15 +58,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Run `f` with the allocation counter armed at `threshold` bytes and
-/// return how many allocations at or above it happened inside.
+/// Run `f` with this thread's allocation counter armed at `threshold`
+/// bytes and return how many allocations at or above it happened inside.
 fn count_large_allocs<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    THRESHOLD.store(threshold, Ordering::SeqCst);
-    LARGE_ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    THRESHOLD.with(|t| t.set(threshold));
+    LARGE_ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (LARGE_ALLOCS.load(Ordering::SeqCst), out)
+    ARMED.with(|a| a.set(false));
+    (LARGE_ALLOCS.with(Cell::get), out)
 }
 
 #[test]

@@ -129,59 +129,56 @@ impl InstalledPlugin {
         let VarValue::Block(block) = value else {
             return Err(PluginError::UnsupportedChunk("scalars are not conditioned"));
         };
-        // The codelet needs owned element storage; decode a packed wire
-        // view with one bulk conversion (no intermediate materialization —
-        // the caller keeps the zero-copy view if we reject the chunk).
-        let data: Vec<f64> = match &block.data {
-            ArrayData::F64(data) => data.clone(),
-            ArrayData::Packed(p) if p.dtype() == evpath::ffs::PackedDtype::F64 => p.to_f64_vec(),
+        // The codelet reads the chunk in place; a packed wire view is
+        // decoded once with one bulk conversion (the caller keeps the
+        // zero-copy view if we reject the chunk).
+        let decoded;
+        let data: &[f64] = match &block.data {
+            ArrayData::F64(data) => data,
+            ArrayData::Packed(p) if p.dtype() == evpath::ffs::PackedDtype::F64 => {
+                decoded = p.to_f64_vec();
+                &decoded
+            }
             _ => return Err(PluginError::UnsupportedChunk("only f64 arrays supported")),
         };
-        let input = Record::new().with(&self.spec.var, FieldValue::F64Array(data));
-        let output = self.codelet.run(&input).map_err(|e| PluginError::Run(e.to_string()))?;
+        let output = self
+            .codelet
+            .run_column(&self.spec.var, data)
+            .map_err(|e| PluginError::Run(e.to_string()))?;
 
         let mut new_value = None;
         let mut extras = Vec::new();
-        for (name, field) in output.iter() {
+        for (name, field) in output {
             let as_value = match field {
-                FieldValue::F64Array(a) => VarValue::Block(
-                    LocalBlock {
-                        global_shape: vec![a.len() as u64],
-                        offset: vec![0],
-                        count: vec![a.len() as u64],
-                        data: ArrayData::F64(a.clone()),
-                    }
-                    .validated(),
-                ),
-                FieldValue::I64(v) => VarValue::Scalar(adios::ScalarValue::I64(*v)),
-                FieldValue::U64(v) => VarValue::Scalar(adios::ScalarValue::U64(*v)),
-                FieldValue::F64(v) => VarValue::Scalar(adios::ScalarValue::F64(*v)),
-                FieldValue::Str(s) => VarValue::Scalar(adios::ScalarValue::Str(s.clone())),
+                FieldValue::F64Array(a) => array_block(ArrayData::F64(a)),
+                FieldValue::I64Array(a) => array_block(ArrayData::I64(a)),
+                FieldValue::I64(v) => VarValue::Scalar(adios::ScalarValue::I64(v)),
+                FieldValue::U64(v) => VarValue::Scalar(adios::ScalarValue::U64(v)),
+                FieldValue::F64(v) => VarValue::Scalar(adios::ScalarValue::F64(v)),
+                FieldValue::Str(s) => VarValue::Scalar(adios::ScalarValue::Str(s)),
                 _ => continue,
             };
             if name == self.spec.var {
                 new_value = Some(as_value);
             } else {
-                extras.push((name.to_string(), as_value));
+                extras.push((name, as_value));
             }
         }
         // Stamp the marker so the peer side never double-conditions.
         extras.push((DC_APPLIED_MARKER.to_string(), VarValue::Scalar(adios::ScalarValue::U64(1))));
         // A plug-in that emits nothing for the variable drops it entirely
         // (maximal reduction, e.g. `summarize`): represent as empty array.
-        let new_value = new_value.unwrap_or_else(|| {
-            VarValue::Block(
-                LocalBlock {
-                    global_shape: vec![0],
-                    offset: vec![0],
-                    count: vec![0],
-                    data: ArrayData::F64(Vec::new()),
-                }
-                .validated(),
-            )
-        });
+        let new_value = new_value.unwrap_or_else(|| array_block(ArrayData::F64(Vec::new())));
         Ok((new_value, extras))
     }
+}
+
+/// A conditioned array as a standalone 1-D block.
+fn array_block(data: ArrayData) -> VarValue {
+    let n = data.len() as u64;
+    VarValue::Block(
+        LocalBlock { global_shape: vec![n], offset: vec![0], count: vec![n], data }.validated(),
+    )
 }
 
 #[cfg(test)]
@@ -237,6 +234,50 @@ mod tests {
         let VarValue::Block(b) = value else { panic!() };
         assert_eq!(b.num_elements(), 0, "raw data replaced by empty block");
         assert!(extras.iter().any(|(n, _)| n == "dc_mean"));
+    }
+
+    #[test]
+    fn emit_i64_output_is_kept_as_an_i64_block() {
+        // Both as the conditioned variable and as an extra.
+        let spec = PluginSpec {
+            var: "velocity".into(),
+            source: r#"
+                let v = get_f64("velocity");
+                let bins = int_array();
+                for i in 0..len(v) { push(bins, int(floor(v[i]))); }
+                emit_i64("velocity", bins);
+                let odd = int_array();
+                push(odd, 1);
+                push(odd, 5);
+                emit_i64("odd_idx", odd);
+            "#
+            .into(),
+            placement: PluginPlacement::WriterSide,
+        };
+        let p = InstalledPlugin::install(spec).unwrap();
+        let (value, extras) = p.apply(&velocity_chunk()).unwrap();
+        let VarValue::Block(b) = value else { panic!("conditioned variable is a block") };
+        assert!(matches!(&b.data, ArrayData::I64(v) if v == &[0, 1, 2, 0, 1, 3]));
+        assert_eq!(b.count, vec![6]);
+        let (_, odd) = extras.iter().find(|(n, _)| n == "odd_idx").expect("i64 extra kept");
+        let VarValue::Block(odd) = odd else { panic!("i64 extra is a block") };
+        assert!(matches!(&odd.data, ArrayData::I64(v) if v == &[1, 5]));
+    }
+
+    #[test]
+    fn packed_chunks_condition_like_owned_ones() {
+        let spec = PluginSpec {
+            var: "velocity".into(),
+            source: codelet::plugins::bounding_box("velocity", 1.0, 3.0),
+            placement: PluginPlacement::WriterSide,
+        };
+        let p = InstalledPlugin::install(spec).unwrap();
+        let VarValue::Block(owned) = velocity_chunk() else { unreachable!() };
+        let packed = VarValue::Block(LocalBlock {
+            data: ArrayData::Packed(evpath::ffs::PackedArray::from_f64s(owned.data.as_f64())),
+            ..owned.clone()
+        });
+        assert_eq!(p.apply(&packed).unwrap(), p.apply(&VarValue::Block(owned)).unwrap());
     }
 
     #[test]

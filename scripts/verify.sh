@@ -85,6 +85,11 @@ echo "== query battery (differential + pushdown under faults) =="
 # dup/reorder fault storm on both single-threaded backends and the fleet.
 cargo test -q --offline -p flexio-query \
     >/dev/null || { echo "query differential suite FAILED"; exit 1; }
+# Plug-ins run compiled to native closures: every result (errors and the
+# budget-exhaustion boundary included) must match the bytecode
+# interpreter, and a chunk must allocate O(1) times, not per element.
+cargo test -q --offline -p codelet --test compiled_vs_interp --test alloc_per_chunk \
+    >/dev/null || { echo "compiled codelet battery FAILED"; exit 1; }
 cargo test -q --offline -p flexio --test query_stream --test plugin_zero_copy \
     >/dev/null || { echo "query stream battery FAILED"; exit 1; }
 for seed in 7 1234 99991; do
